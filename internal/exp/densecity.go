@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"whitefi/internal/assign"
@@ -64,17 +66,12 @@ type DenseCityConfig struct {
 	// AssignPeriod is how often each AP re-evaluates its channel with
 	// the hysteresis selector; 0 selects 4 s.
 	AssignPeriod time.Duration
-	// Brute disables spatial culling (mac.Air.NoCull): the
-	// O(nodes × transmissions) fan-out the culled medium replaces. For
-	// benchmarking the two paths; results are event-identical.
-	Brute bool
-	// Tiles, when positive, selects the tiled-metro variant of the
-	// scenario (see DenseCityTiled): the APs are spread over Tiles
-	// guard-spaced city tiles instead of one continuous square, and the
-	// run executes on the sharded parallel engine. The tile count fixes
-	// the geometry; vary Shards and Workers freely — results are
-	// byte-identical across both. Zero keeps the legacy continuous
-	// city on the serial engine, byte-for-byte.
+	// Tiles, when positive, lays the city out as Tiles guard-spaced city
+	// tiles instead of one continuous square, run on the sharded
+	// parallel engine (see DenseCityTiled). The tile count fixes the
+	// geometry; vary Shards and Workers freely — results are
+	// byte-identical across both. Zero keeps the continuous city on the
+	// serial engine.
 	Tiles int
 	// Shards is the number of execution shards the tiled city runs on
 	// (contiguous runs of tiles per shard). Zero selects one shard per
@@ -84,7 +81,7 @@ type DenseCityConfig struct {
 	// Workers bounds the OS threads advancing shards in parallel; zero
 	// selects GOMAXPROCS. Wall clock only — never results.
 	Workers int
-	// Mobility, in the tiled variant, walks every client on a seeded
+	// Mobility, in the tiled layout, walks every client on a seeded
 	// random-waypoint trajectory around its AP (per-tile epoch
 	// updaters), so the equivalence artifact covers moving worlds too.
 	Mobility bool
@@ -122,6 +119,9 @@ func (c DenseCityConfig) withDefaults() DenseCityConfig {
 	}
 	if c.AssignPeriod == 0 {
 		c.AssignPeriod = 4 * time.Second
+	}
+	if c.Tiles < 0 {
+		c.Tiles = 0
 	}
 	return c
 }
@@ -165,8 +165,10 @@ type DenseCityResult struct {
 // denseCityIDBase spaces BSS ids well clear of the other scenarios'.
 const denseCityIDBase = 10000
 
-// denseBSS is one AP with its clients, flows, and assignment state.
+// denseBSS is one AP with its clients, flows, and assignment state, in
+// the tile that hosts it.
 type denseBSS struct {
+	tile     *cityTile
 	ap       *mac.Node
 	clients  []*mac.Node
 	flows    []*traffic.Flow
@@ -228,42 +230,74 @@ func runAfterTies(eng *sim.Engine, t time.Duration, fn func()) {
 	eng.Schedule(t, wrapped)
 }
 
-// cityRun is one dense-city world mid-flight: everything DenseCityRun
-// used to drive from host loops is pre-scheduled on the engine at
-// build, so the run can be advanced to any virtual time, digested,
-// checkpointed, and resumed with no behavioral seam. Built by
-// buildDenseCity; advanced by advanceTo; summarized once by finish.
+// cityTile is one tile's execution context: the world (engine and
+// medium) that hosts it, the box its APs are placed in, the mic set its
+// selectors consult, and its MCham histogram. The continuous city is a
+// single tile covering the whole square.
+type cityTile struct {
+	idx, shard int
+	world      *world
+	aps        int     // APs placed in the tile at build
+	x0, y0     float64 // placement box corner
+	span       float64 // placement box side
+	micMap     func() spectrum.Map
+	hist       *obs.Hist // nil without an observer
+}
+
+// cityEngine is what a city run needs of its engine: a *sim.Engine on
+// the continuous city, a *sim.ShardedEngine on the tiled one.
+type cityEngine interface {
+	RunUntil(time.Duration)
+	Now() time.Duration
+	DigestState(io.Writer)
+	PendingCount() int
+}
+
+// cityRun is one dense city mid-flight, continuous or tiled: every
+// stage of the run is pre-scheduled on the engine at build, so the run
+// can be advanced to any virtual time, digested, checkpointed, and
+// resumed with no behavioral seam. Built by buildCity; advanced by
+// advanceTo; summarized once by finish.
 type cityRun struct {
-	cfg     DenseCityConfig
-	start   time.Time
-	w       *world
-	bss     []*denseBSS
+	cfg   DenseCityConfig
+	start time.Time
+	eng   cityEngine
+	// coord is the coordinator engine: the settle round, mic sampling
+	// and snapshots run there. On the continuous city it is the one
+	// world's engine; on the tiled city every shard is paused at the
+	// same instant while it runs.
+	coord  *sim.Engine
+	shards int // execution shards; 0 on the continuous city
+	worlds []*world
+	tiles  []*cityTile
+	bss    []*denseBSS
+	flows  int // flows built so far, which numbers the next one
+	free   []spectrum.UHF
+	end    time.Duration
+
+	// mics is the coordinator's mic set — sampled, observed and used by
+	// finish — and micMap its occupancy; acts drives every mic set and
+	// walkers move the tiled city's clients.
 	mics    []*incumbent.Mic
+	micMap  func() spectrum.Map
 	acts    []*dynamics.Activity
-	areaKm2 float64
-	end     time.Duration
+	walkers []*dynamics.Updater
 
 	freeSamples, totalSamples int64
 
-	// sideM and free capture the placement geometry and the channel
-	// pool so fork-time edits can place new BSSs the same way the
-	// build did.
-	sideM float64
-	free  []spectrum.UHF
-
-	micMap   func() spectrum.Map
-	localObs func(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation
+	trc              *obs.Tracer // continuous city with an observer only
+	evalID, switchID obs.SpanID
 
 	wallRun, wallSummarize *obs.Phase
 
 	finished bool
 	result   DenseCityResult
+	digest   string // canonical digest; tiled city only
 }
 
 // DenseCityRun executes one dense-deployment world and reports its
 // metrics. The run is deterministic per config (placement, channels and
-// mic schedules all derive from Seed) and identical with and without
-// culling.
+// mic schedules all derive from Seed).
 //
 // Shape: N APs are placed by a seeded binomial point process (a Poisson
 // process conditioned on its count) over a square sized for
@@ -277,59 +311,182 @@ type cityRun struct {
 // and retunes its BSS on a switch — distributed MCham assignment
 // without the core AP state machine, so the run isolates medium scale
 // and assignment quality rather than protocol dynamics (MicChurn
-// covers those).
+// covers those). With cfg.Tiles > 0 the same city runs tiled (see
+// DenseCityTiled).
 func DenseCityRun(cfg DenseCityConfig) DenseCityResult {
-	if cfg.Tiles > 0 {
-		r, _ := DenseCityTiled(cfg)
-		return r
-	}
-	r := buildDenseCity(cfg)
+	r := buildCity(cfg)
 	r.advanceTo(r.end)
 	return r.finish()
 }
 
-// buildDenseCity constructs the world and pre-schedules every stage of
-// the run — the settle-time assignment round, the staggered periodic
+// buildCity constructs the world and pre-schedules every stage of the
+// run — the settle-time assignment round, the staggered periodic
 // re-evaluations, and the mic-occupancy sampling — as engine events,
-// so DenseCityRun is build + advance + finish and a checkpoint can
-// pause the run at any instant in between.
-func buildDenseCity(cfg DenseCityConfig) *cityRun {
+// so a run is build + advance + finish and a checkpoint can pause it
+// at any instant in between. Only layout chooses between the
+// continuous and the tiled city; everything here is shared.
+func buildCity(cfg DenseCityConfig) *cityRun {
 	cfg = cfg.withDefaults()
-	start := time.Now()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := spatialWorld(cfg.Seed)
-	w.air.NoCull = cfg.Brute
+	r := &cityRun{cfg: cfg, start: time.Now(), end: cfg.Settle + cfg.Measure}
 
 	// Optional observability: wall phases bracket the host-side stages
-	// (strictly outside the deterministic snapshot stream); spans and
-	// the MCham histogram are recorded only when an observer is wired.
-	var wallBuild, wallRun, wallSummarize *obs.Phase
+	// (strictly outside the deterministic snapshot stream).
+	var wallBuild *obs.Phase
 	if cfg.Obs != nil && cfg.Obs.Wall != nil {
 		wallBuild = cfg.Obs.Wall.Phase("build")
-		wallRun = cfg.Obs.Wall.Phase("run")
-		wallSummarize = cfg.Obs.Wall.Phase("summarize")
+		r.wallRun = cfg.Obs.Wall.Phase("run")
+		r.wallSummarize = cfg.Obs.Wall.Phase("summarize")
 		wallBuild.Start()
 	}
 
-	areaKm2 := float64(cfg.APs) / cfg.DensityPerKm2
-	sideM := math.Sqrt(areaKm2) * 1000
-
 	base := incumbent.SimulationBaseMap()
-	free := base.FreeChannels()
+	r.free = base.FreeChannels()
+	r.layout(base)
 
-	// Markov mics: one per free channel, each on its own seeded
-	// schedule (audible city-wide; spatially scoped incumbents are the
-	// Station model, exercised by the spatial scenarios).
-	var mics []*incumbent.Mic
-	var acts []*dynamics.Activity
-	if cfg.MicDuty > 0 {
-		for i, u := range free {
-			m := incumbent.NewMic(w.eng, u)
-			mics = append(mics, m)
-			acts = append(acts, dynamics.NewDutyActivity(w.eng, m, cfg.MicDuty, micChurnCycle, cfg.Seed*1009+int64(i)*613))
+	// Placement, channels and traffic: one host-side seeded stream in
+	// fixed tile order (shard-count independent by construction). Flow
+	// specs come from traffic.Mix (its own RNG stream), so the default
+	// (pure CBR downlink) leaves the placement stream — and therefore
+	// the whole run — identical to the pre-traffic-engine scenario.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	specs := traffic.Mix{
+		Models:     cfg.Traffic,
+		UplinkFrac: cfg.UplinkFrac,
+		Seed:       cfg.Seed,
+		Base:       r.baseSpec(),
+	}.Specs(cfg.APs * cfg.ClientsPerAP)
+	for _, tl := range r.tiles {
+		var upd *dynamics.Updater
+		if cfg.Mobility && r.shards > 0 {
+			upd = dynamics.NewUpdater(tl.world.eng, tl.world.air, 0)
+		}
+		for i := 0; i < tl.aps; i++ {
+			r.addBSS(tl, rng, specs[r.flows:r.flows+cfg.ClientsPerAP], upd)
+		}
+		if upd != nil {
+			upd.Start()
+			r.walkers = append(r.walkers, upd)
 		}
 	}
-	micMap := func() spectrum.Map {
+	for _, a := range r.acts {
+		a.Start()
+	}
+	if r.shards > 1 {
+		r.verifyPartition()
+	}
+	r.observe()
+
+	// Settle, one unconditional assignment for everyone (on the
+	// coordinator, after every other event at the instant), then
+	// staggered periodic re-evaluation: AP i re-runs its selector every
+	// AssignPeriod at phase i/N on its own tile's engine — the
+	// desynchronised probing of real independent APs, which lets each
+	// AP see its neighbors' moves instead of the whole city
+	// re-optimising against a stale snapshot in lockstep.
+	runAfterTies(r.coord, cfg.Settle, func() {
+		for _, b := range r.bss {
+			r.evaluate(b, false)
+		}
+		for _, b := range r.bss {
+			b.snapshotRx()
+		}
+	})
+	for i, b := range r.bss {
+		b := b
+		phase := cfg.AssignPeriod * time.Duration(i) / time.Duration(len(r.bss))
+		for t := cfg.Settle + cfg.AssignPeriod + phase; t < r.end; t += cfg.AssignPeriod {
+			b.tile.world.eng.Schedule(t, func() { r.evaluate(b, true) })
+		}
+	}
+
+	// Measurement window: sample mic occupancy of each operating
+	// channel as the Markov schedules churn. On the tiled city each
+	// sample bounds a conservative window at its instant, exactly as a
+	// host RunUntil deadline would.
+	for t := cfg.Settle + denseCitySampleStep; t <= r.end; t += denseCitySampleStep {
+		runAfterTies(r.coord, t, r.sampleMics)
+	}
+	if wallBuild != nil {
+		wallBuild.Stop()
+		r.wallRun.Start()
+	}
+	return r
+}
+
+// layout makes every choice that depends on the city's layout, from
+// cfg.Tiles (0 means continuous): one engine or a sharded engine with a
+// world per shard, the tiles and their placement boxes (the full square,
+// or inset, guard-spaced tiles in a row), and the mic sets (the
+// coordinator's only, or one replica more per shard). The per-node RNG,
+// walkers and observer registration follow from r.shards.
+func (r *cityRun) layout(base spectrum.Map) {
+	cfg := r.cfg
+	if cfg.Tiles == 0 {
+		w := spatialWorld(cfg.Seed)
+		r.eng, r.coord, r.worlds = w.eng, w.eng, []*world{w}
+		r.mics, r.micMap = r.newMics(w.eng, base)
+		side := math.Sqrt(float64(cfg.APs)/cfg.DensityPerKm2) * 1000
+		r.tiles = []*cityTile{{world: w, aps: cfg.APs, span: side, micMap: r.micMap}}
+		return
+	}
+	r.shards = cfg.Shards
+	if r.shards < 1 || r.shards > cfg.Tiles {
+		r.shards = cfg.Tiles
+	}
+	prop := mac.LogDistance{}
+	se := sim.NewSharded(cfg.Seed, r.shards)
+	se.Workers = cfg.Workers
+	r.eng, r.coord = se, se.Global()
+	r.mics, r.micMap = r.newMics(se.Global(), base)
+	micMaps := make([]func() spectrum.Map, r.shards)
+	for s := range micMaps {
+		eng := se.Shard(s)
+		air := mac.NewAir(eng)
+		air.Retention = historyRetention
+		air.Prop = prop
+		air.PruneClock = se.Floor
+		r.worlds = append(r.worlds, &world{eng: eng, air: air})
+		_, micMaps[s] = r.newMics(eng, base)
+	}
+
+	// Every tile is a square sized for the mean per-tile AP count at the
+	// configured density, its APs inset from the edges (room for client
+	// scatter and walkers), with a guard strip between consecutive
+	// tiles; tile t runs on shard t*S/T.
+	side := math.Sqrt(float64(cfg.APs)/float64(cfg.Tiles)/cfg.DensityPerKm2) * 1000
+	inset := tileInset
+	if side <= 4*inset {
+		inset = side / 4
+	}
+	guard := 2*mac.InteractionRange(prop, mac.DefaultTxPowerDBm) + tileGuardMargin
+	pitch := side + guard
+	for t := 0; t < cfg.Tiles; t++ {
+		s := t * r.shards / cfg.Tiles
+		tl := &cityTile{idx: t, shard: s, world: r.worlds[s], aps: cfg.APs / cfg.Tiles,
+			x0: float64(t)*pitch + inset, y0: inset, span: side - 2*inset, micMap: micMaps[s]}
+		if t < cfg.APs%cfg.Tiles {
+			tl.aps++
+		}
+		r.tiles = append(r.tiles, tl)
+	}
+}
+
+// newMics builds one mic set on eng: a Markov mic per free channel,
+// each on its own seeded schedule (audible city-wide; spatially scoped
+// incumbents are the Station model, exercised by the spatial
+// scenarios). incumbent.Mic never touches a medium and each
+// dynamics.Activity owns its RNG, so replicas on different engines
+// realise the same schedule. It returns the set and its occupancy map.
+func (r *cityRun) newMics(eng *sim.Engine, base spectrum.Map) ([]*incumbent.Mic, func() spectrum.Map) {
+	var mics []*incumbent.Mic
+	if r.cfg.MicDuty > 0 {
+		for i, u := range r.free {
+			m := incumbent.NewMic(eng, u)
+			mics = append(mics, m)
+			r.acts = append(r.acts, dynamics.NewDutyActivity(eng, m, r.cfg.MicDuty, micChurnCycle, r.cfg.Seed*1009+int64(i)*613))
+		}
+	}
+	return mics, func() spectrum.Map {
 		m := base
 		for _, mic := range mics {
 			if mic.Active() {
@@ -338,190 +495,218 @@ func buildDenseCity(cfg DenseCityConfig) *cityRun {
 		}
 		return m
 	}
+}
 
-	// Placement and initial channels. Flow specs come from traffic.Mix
-	// (its own RNG stream), so the default (pure CBR downlink) leaves
-	// the placement stream — and therefore the whole run — identical to
-	// the pre-traffic-engine scenario.
-	specs := traffic.Mix{
-		Models:     cfg.Traffic,
-		UplinkFrac: cfg.UplinkFrac,
-		Seed:       cfg.Seed,
-		Base:       traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
-	}.Specs(cfg.APs * cfg.ClientsPerAP)
-	flowID := 0
-	bss := make([]*denseBSS, cfg.APs)
-	for i := range bss {
-		apID := denseCityIDBase + i*(cfg.ClientsPerAP+1)
-		apPos := mac.Position{X: rng.Float64() * sideM, Y: rng.Float64() * sideM}
-		ch := spectrum.Chan(free[rng.Intn(len(free))], spectrum.W5)
-		b := &denseBSS{ids: map[int]bool{apID: true}}
-		b.ap = mac.NewNode(w.eng, w.air, apID, ch, true)
-		b.ap.SetPosition(apPos)
-		if cfg.QueueLimit > 0 {
-			b.ap.SetQueueLimit(cfg.QueueLimit)
-		}
-		for c := 0; c < cfg.ClientsPerAP; c++ {
-			id := apID + 1 + c
-			cl := mac.NewNode(w.eng, w.air, id, ch, false)
-			ang := rng.Float64() * 2 * math.Pi
-			d := 10 + rng.Float64()*30 // 10-40 m: deep inside decode range
-			cl.SetPosition(mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)})
-			b.clients = append(b.clients, cl)
-			b.ids[id] = true
-			sender, receiver := traffic.Orient(specs[flowID], b.ap, cl)
-			f := traffic.NewFlow(w.eng, flowID, specs[flowID], sender, receiver)
-			f.Start()
-			b.flows = append(b.flows, f)
-			flowID++
-		}
-		bss[i] = b
+// baseSpec is the flow shape every city flow spec starts from.
+func (r *cityRun) baseSpec() traffic.Spec {
+	return traffic.Spec{Bytes: 1000, Interval: r.cfg.TrafficInterval}
+}
+
+// addBSS builds one BSS in tile tl and appends it to the run: an AP at
+// a uniform point of the tile's placement box on a random free channel,
+// one client per spec 10–40 m away (deep inside decode range), and a
+// started flow per client. upd, when non-nil, walks the clients on
+// seeded random-waypoint trajectories around the AP.
+func (r *cityRun) addBSS(tl *cityTile, rng *rand.Rand, specs []traffic.Spec, upd *dynamics.Updater) *denseBSS {
+	apID := denseCityIDBase + len(r.bss)*(r.cfg.ClientsPerAP+1)
+	apPos := mac.Position{X: tl.x0 + rng.Float64()*tl.span, Y: tl.y0 + rng.Float64()*tl.span}
+	ch := spectrum.Chan(r.free[rng.Intn(len(r.free))], spectrum.W5)
+	b := &denseBSS{tile: tl, ids: map[int]bool{apID: true}}
+	b.ap = r.newNode(tl, apID, ch, true, apPos)
+	if r.cfg.QueueLimit > 0 {
+		b.ap.SetQueueLimit(r.cfg.QueueLimit)
 	}
-	for _, a := range acts {
-		a.Start()
+	for c, spec := range specs {
+		id := apID + 1 + c
+		ang := rng.Float64() * 2 * math.Pi
+		d := 10 + rng.Float64()*30
+		pos := mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)}
+		cl := r.newNode(tl, id, ch, false, pos)
+		b.clients = append(b.clients, cl)
+		b.ids[id] = true
+		sender, receiver := traffic.Orient(spec, b.ap, cl)
+		f := traffic.NewFlow(tl.world.eng, r.flows, spec, sender, receiver)
+		f.Start()
+		b.flows = append(b.flows, f)
+		r.flows++
+		if upd != nil {
+			upd.Track(id, &dynamics.RandomWaypoint{
+				Seed:     r.cfg.Seed*7919 + int64(id)*104729,
+				Min:      mac.Position{X: apPos.X - 40, Y: apPos.Y - 40},
+				Max:      mac.Position{X: apPos.X + 40, Y: apPos.Y + 40},
+				SpeedMin: 0.5,
+				SpeedMax: 1.5,
+				Pause:    2 * time.Second,
+				Start:    pos,
+			}, nil)
+		}
 	}
+	r.bss = append(r.bss, b)
+	return b
+}
 
-	// obsWindow is the trailing window of localObservation below; the
-	// airtime gauges reuse it so /metrics and the selector see the same
-	// horizon.
-	const obsWindow = 1 * time.Second
+// newNode puts one node on tile tl's medium at pos. On the tiled city
+// every node draws backoff from its own RandFor stream, identical on
+// any shard, so draws do not depend on who else shares its engine; the
+// continuous city keeps the shared engine stream.
+func (r *cityRun) newNode(tl *cityTile, id int, ch spectrum.Channel, isAP bool, pos mac.Position) *mac.Node {
+	n := mac.NewNode(tl.world.eng, tl.world.air, id, ch, isAP)
+	n.SetPosition(pos)
+	if r.shards > 0 {
+		n.SetRand(tl.world.eng.RandFor(id))
+	}
+	return n
+}
 
-	// Wire the observer: standard registrations over the whole city,
-	// aggregate traffic totals (per-flow counters would mean thousands
-	// of metrics here — whitefi-sim registers per-flow on its one-BSS
-	// path), the assignment histogram, and the span tracer.
-	var trc *obs.Tracer
-	var mchamHist *obs.Hist
-	var evalID, switchID obs.SpanID
-	if o := cfg.Obs; o != nil {
-		o.Attach(w.eng)
+// nodes lists the APs and clients of tile tl, or of every tile when tl
+// is nil.
+func (r *cityRun) nodes(tl *cityTile) []*mac.Node {
+	var ns []*mac.Node
+	for _, b := range r.bss {
+		if tl == nil || b.tile == tl {
+			ns = append(ns, b.ap)
+			ns = append(ns, b.clients...)
+		}
+	}
+	return ns
+}
+
+// allFlows lists every BSS's flows in BSS order.
+func (r *cityRun) allFlows() []*traffic.Flow {
+	var fs []*traffic.Flow
+	for _, b := range r.bss {
+		fs = append(fs, b.flows...)
+	}
+	return fs
+}
+
+// airs lists the run's media, one per world.
+func (r *cityRun) airs() []*mac.Air {
+	airs := make([]*mac.Air, len(r.worlds))
+	for i, w := range r.worlds {
+		airs[i] = w.air
+	}
+	return airs
+}
+
+// verifyPartition is the tiled city's partition tripwire: a geometry
+// bug would not crash — it would silently make results depend on the
+// shard count, which is exactly the failure mode the equivalence
+// harness exists to catch. Fail fast instead.
+func (r *cityRun) verifyPartition() {
+	var pos []mac.Position
+	var groups []int
+	for _, tl := range r.tiles {
+		for _, n := range r.nodes(tl) {
+			pos = append(pos, n.Position())
+			groups = append(groups, tl.shard)
+		}
+	}
+	if i, j, ok := mac.VerifyPartition(pos, mac.DefaultTxPowerDBm, mac.LogDistance{}, groups); !ok {
+		panic(fmt.Sprintf("exp: tiled city partition unsound: nodes %d and %d are cross-shard yet within interaction range", i, j))
+	}
+}
+
+// cityObsWindow is the trailing window of localObservation; the
+// airtime gauges reuse it so /metrics and the selector see the same
+// horizon.
+const cityObsWindow = 1 * time.Second
+
+// observe wires cfg.Obs, with snapshots on the coordinator so every
+// read lands at a barrier. The continuous city registers its engine,
+// medium, airtime and MAC metrics whole, plus the assignment spans. The
+// tiled city registers only what is shard-invariant: medium counters
+// summed over the shard media (physical outcomes only), and MAC
+// aggregates and MCham histograms per tile ("tileNN.*" names exist
+// whichever engine hosts the tile); engine metrics stay out, since
+// the coordinator's barrier bookkeeping and the per-shard mic replicas
+// make event counts vary with the shard count. Both add aggregate flow
+// totals (per-flow counters would mean thousands of metrics here) and
+// the active mic count.
+func (r *cityRun) observe() {
+	o := r.cfg.Obs
+	if o == nil {
+		return
+	}
+	o.Attach(r.coord)
+	if r.shards == 0 {
+		w := r.worlds[0]
 		obs.RegisterEngine(o.Reg, w.eng)
 		obs.RegisterAir(o.Reg, w.air)
-		obs.RegisterAirtime(o.Reg, w.air, obsWindow, free)
-		var nodes []*mac.Node
-		var flows []*traffic.Flow
-		for _, b := range bss {
-			nodes = append(nodes, b.ap)
-			nodes = append(nodes, b.clients...)
-			flows = append(flows, b.flows...)
+		obs.RegisterAirtime(o.Reg, w.air, cityObsWindow, r.free)
+		obs.RegisterNodes(o.Reg, "mac", r.nodes(nil))
+		r.tiles[0].hist = o.Reg.Hist("assign.mcham")
+		r.trc = o.Tracer()
+		r.evalID = r.trc.ID("assign.evaluate")
+		r.switchID = r.trc.ID("bss.switch")
+	} else {
+		obs.RegisterAirs(o.Reg, r.airs())
+		for _, tl := range r.tiles {
+			obs.RegisterNodes(o.Reg, fmt.Sprintf("tile%02d.mac", tl.idx), r.nodes(tl))
+			tl.hist = o.Reg.Hist(fmt.Sprintf("tile%02d.assign.mcham", tl.idx))
 		}
-		obs.RegisterNodes(o.Reg, "mac", nodes)
-		obs.RegisterFlowTotals(o.Reg, flows)
-		o.Reg.GaugeFunc("incumbent.active_mics", func() float64 {
-			n := 0
-			for _, m := range mics {
-				if m.Active() {
-					n++
-				}
+	}
+	obs.RegisterFlowTotals(o.Reg, r.allFlows())
+	o.Reg.GaugeFunc("incumbent.active_mics", func() float64 {
+		n := 0
+		for _, m := range r.mics {
+			if m.Active() {
+				n++
 			}
-			return float64(n)
-		})
-		mchamHist = o.Reg.Hist("assign.mcham")
-		trc = o.Tracer()
-		evalID = trc.ID("assign.evaluate")
-		switchID = trc.ID("bss.switch")
-		o.Start()
-	}
-
-	// localObservation is the AP's own view of the spectrum: airtime
-	// and AP counts as received at its position over the trailing
-	// window, own BSS excluded, fused with the current incumbent map.
-	// The window is long enough to average CBR burstiness into a stable
-	// airtime estimate — with a short one every observation is a fresh
-	// roll of the dice and hysteresis cannot hold.
-	localObservation := func(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation {
-		from := now - obsWindow
-		if from < 0 {
-			from = 0
 		}
-		src := &radio.TrueAirtime{Air: w.air, Exclude: b.ids, Observer: b.ap.ID}
-		return radio.Observe(src, m, from, now, -1)
-	}
-
-	// evaluate runs one AP's hysteresis-selector round. The first round
-	// (empty selector state) assigns unconditionally; later rounds
-	// switch only past the hysteresis margin or when a mic lands on the
-	// operating channel (Selector's involuntary path).
-	evaluate := func(b *denseBSS, countSwitches bool) {
-		startAt := w.eng.Now()
-		sel, switched := b.sel.Evaluate(localObservation(b, w.eng.Now(), micMap()), nil)
-		if mchamHist != nil && sel.OK {
-			mchamHist.Observe(sel.Metric)
-		}
-		if trc != nil {
-			trc.Span(evalID, startAt, int64(b.ap.ID))
-		}
-		if !switched || !sel.OK || sel.Channel == b.ap.Channel() {
-			return
-		}
-		b.retune(sel.Channel)
-		if trc != nil {
-			trc.Event(switchID, int64(b.ap.ID))
-		}
-		if countSwitches {
-			b.switches++
-		}
-	}
-
-	r := &cityRun{
-		cfg:           cfg,
-		start:         start,
-		w:             w,
-		bss:           bss,
-		mics:          mics,
-		acts:          acts,
-		areaKm2:       areaKm2,
-		end:           cfg.Settle + cfg.Measure,
-		sideM:         sideM,
-		free:          free,
-		micMap:        micMap,
-		localObs:      localObservation,
-		wallRun:       wallRun,
-		wallSummarize: wallSummarize,
-	}
-
-	// Settle, one unconditional assignment for everyone, then staggered
-	// periodic re-evaluation: AP i re-runs its selector every
-	// AssignPeriod at phase i/N — the desynchronised probing of real
-	// independent APs, which lets each AP see its neighbors' moves
-	// instead of the whole city re-optimising against a stale snapshot
-	// in lockstep. All of it is pre-scheduled here: the settle round
-	// and the mic samples ride runAfterTies so they observe exactly the
-	// state the old host loops saw after RunUntil.
-	runAfterTies(w.eng, cfg.Settle, func() {
-		for _, b := range bss {
-			evaluate(b, false)
-		}
-		for _, b := range bss {
-			b.snapshotRx()
-		}
+		return float64(n)
 	})
-	end := r.end
-	for i, b := range bss {
-		b := b
-		phase := cfg.AssignPeriod * time.Duration(i) / time.Duration(len(bss))
-		for t := cfg.Settle + cfg.AssignPeriod + phase; t < end; t += cfg.AssignPeriod {
-			w.eng.Schedule(t, func() { evaluate(b, true) })
-		}
-	}
+	o.Start()
+}
 
-	// Measurement window: sample mic occupancy of each operating
-	// channel as the Markov schedules churn.
-	for t := cfg.Settle + denseCitySampleStep; t <= end; t += denseCitySampleStep {
-		runAfterTies(w.eng, t, r.sampleMics)
+// localObservation is the AP's own view of the spectrum: airtime and AP
+// counts as received at its position on its tile's medium over the
+// trailing window, own BSS excluded, fused with the mic map m. The
+// window is long enough to average CBR burstiness into a stable
+// airtime estimate — with a short one every observation is a fresh
+// roll of the dice and hysteresis cannot hold. Spatial culling makes
+// remote tiles contribute exactly zero.
+func (r *cityRun) localObservation(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation {
+	from := now - cityObsWindow
+	if from < 0 {
+		from = 0
 	}
-	if wallBuild != nil {
-		wallBuild.Stop()
-		wallRun.Start()
+	src := &radio.TrueAirtime{Air: b.tile.world.air, Exclude: b.ids, Observer: b.ap.ID}
+	return radio.Observe(src, m, from, now, -1)
+}
+
+// evaluate runs one AP's hysteresis-selector round against its tile's
+// mic set. The first round (empty selector state) assigns
+// unconditionally; later rounds switch only past the hysteresis margin
+// or when a mic lands on the operating channel (Selector's involuntary
+// path).
+func (r *cityRun) evaluate(b *denseBSS, countSwitches bool) {
+	now := b.tile.world.eng.Now()
+	sel, switched := b.sel.Evaluate(r.localObservation(b, now, b.tile.micMap()), nil)
+	if b.tile.hist != nil && sel.OK {
+		b.tile.hist.Observe(sel.Metric)
 	}
-	return r
+	if r.trc != nil {
+		r.trc.Span(r.evalID, now, int64(b.ap.ID))
+	}
+	if !switched || !sel.OK || sel.Channel == b.ap.Channel() {
+		return
+	}
+	b.retune(sel.Channel)
+	if r.trc != nil {
+		r.trc.Event(r.switchID, int64(b.ap.ID))
+	}
+	if countSwitches {
+		b.switches++
+	}
 }
 
 // denseCitySampleStep is the mic-occupancy sampling cadence of the
 // measurement window.
 const denseCitySampleStep = 250 * time.Millisecond
 
-// sampleMics takes one mic-occupancy sample across every BSS.
+// sampleMics takes one mic-occupancy sample across every BSS against
+// the coordinator's mic set.
 func (r *cityRun) sampleMics() {
 	for _, b := range r.bss {
 		r.totalSamples++
@@ -546,42 +731,42 @@ func (r *cityRun) advanceTo(t time.Duration) {
 	if t > r.end {
 		t = r.end
 	}
-	r.w.eng.RunUntil(t)
+	r.eng.RunUntil(t)
 }
 
-// now returns the run's current virtual time.
-func (r *cityRun) now() time.Duration { return r.w.eng.Now() }
+// now returns the run's current virtual time (the coordinator clock).
+func (r *cityRun) now() time.Duration { return r.eng.Now() }
 
-// finish summarizes the completed run. It is memoized: the first call
-// stops the generators and the observer and computes the metrics;
-// later calls return the same result.
+// finish summarizes the completed run, plus the canonical digest on
+// the tiled city. Memoized: the first call stops the walkers,
+// generators and the observer and computes the metrics; later calls
+// return the same result.
 func (r *cityRun) finish() DenseCityResult {
 	if r.finished {
 		return r.result
 	}
 	r.finished = true
-	cfg, bss, end := r.cfg, r.bss, r.end
+	cfg := r.cfg
 	if r.wallRun != nil {
 		r.wallRun.Stop()
 		r.wallSummarize.Start()
 	}
 
-	// Metrics.
 	var bits float64
-	for _, b := range bss {
+	for _, b := range r.bss {
 		bits += float64(b.deliveredSince()) * 8
 	}
 	m := r.micMap()
 	var quality float64
 	var switches int
-	for _, b := range bss {
+	for _, b := range r.bss {
 		switches += b.switches
-		obs := r.localObs(b, end, m)
-		cur := assign.MCham(obs, b.ap.Channel())
+		o := r.localObservation(b, r.end, m)
+		cur := assign.MCham(o, b.ap.Channel())
 		best := cur
 		for _, c := range spectrum.AllChannels() {
-			if obs.Map.ChannelFree(c) {
-				if v := assign.MCham(obs, c); v > best {
+			if o.Map.ChannelFree(c) {
+				if v := assign.MCham(o, c); v > best {
 					best = v
 				}
 			}
@@ -591,6 +776,9 @@ func (r *cityRun) finish() DenseCityResult {
 		} else {
 			quality++ // nothing is free anywhere: the AP is trivially optimal
 		}
+	}
+	for _, u := range r.walkers {
+		u.Stop()
 	}
 	for _, a := range r.acts {
 		a.Stop()
@@ -603,7 +791,7 @@ func (r *cityRun) finish() DenseCityResult {
 	// estimates, and the city-wide drop rate.
 	var p50s, p95s []float64
 	var generated, dropped int
-	for _, b := range bss {
+	for _, b := range r.bss {
 		for _, f := range b.flows {
 			f.Stop()
 			p50s = append(p50s, f.Tel.DelayP50().Seconds()*1e3)
@@ -616,6 +804,10 @@ func (r *cityRun) finish() DenseCityResult {
 	if generated > 0 {
 		dropRate = float64(dropped) / float64(generated)
 	}
+	if r.shards > 0 {
+		r.digest = r.tiledDigest() + fmt.Sprintf("sum bits=%.0f quality=%.9f ifree=%d/%d switches=%d drop=%.9f\n",
+			bits, quality, r.freeSamples, r.totalSamples, switches, dropRate)
+	}
 	if r.wallRun != nil {
 		r.wallSummarize.Stop()
 	}
@@ -626,7 +818,9 @@ func (r *cityRun) finish() DenseCityResult {
 	r.result = DenseCityResult{
 		APs:                  cfg.APs,
 		Nodes:                cfg.APs * (1 + cfg.ClientsPerAP),
-		AreaKm2:              r.areaKm2,
+		AreaKm2:              float64(cfg.APs) / cfg.DensityPerKm2,
+		Tiles:                cfg.Tiles,
+		Shards:               r.shards,
 		GoodputMbps:          bits / cfg.Measure.Seconds() / 1e6,
 		MChamQuality:         quality / float64(cfg.APs),
 		InterferenceFreeFrac: ifree,
@@ -637,6 +831,40 @@ func (r *cityRun) finish() DenseCityResult {
 		WallClock:            time.Since(r.start),
 	}
 	return r.result
+}
+
+// tiledDigest renders every BSS's channel, switches, delivered payload
+// and per-flow telemetry, and the medium counters summed across shards
+// (per-tile physical outcomes are disjoint, so the totals are
+// shard-invariant even though the per-medium split is not).
+func (r *cityRun) tiledDigest() string {
+	cfg := r.cfg
+	var dg strings.Builder
+	fmt.Fprintf(&dg, "tiledcity seed=%d aps=%d tiles=%d clients=%d mobility=%t settle=%s measure=%s\n",
+		cfg.Seed, cfg.APs, cfg.Tiles, cfg.ClientsPerAP, cfg.Mobility, cfg.Settle, cfg.Measure)
+	for i, b := range r.bss {
+		fmt.Fprintf(&dg, "bss %d tile=%d ch=%s sw=%d rx=%d", i, b.tile.idx, b.ap.Channel(), b.switches, b.ap.Stats.PayloadRxOK)
+		for _, cl := range b.clients {
+			fmt.Fprintf(&dg, ",%d", cl.Stats.PayloadRxOK)
+		}
+		for _, f := range b.flows {
+			fmt.Fprintf(&dg, " f%d=%d/%d/%d/%s/%s", f.ID, f.Tel.Generated, f.Tel.Delivered,
+				f.Tel.QueueDropped+f.Tel.RequestDropped, f.Tel.DelayP50(), f.Tel.DelayP95())
+		}
+		dg.WriteByte('\n')
+	}
+	var ac mac.AirCounters
+	for _, a := range r.airs() {
+		c := &a.Counters
+		ac.Launches += c.Launches
+		ac.Delivered += c.Delivered
+		ac.Collisions += c.Collisions
+		ac.BelowFloor += c.BelowFloor
+		ac.HalfDuplex += c.HalfDuplex
+	}
+	fmt.Fprintf(&dg, "air launches=%d delivered=%d collisions=%d below=%d half=%d\n",
+		ac.Launches, ac.Delivered, ac.Collisions, ac.BelowFloor, ac.HalfDuplex)
+	return dg.String()
 }
 
 // DenseCityMediumLoad drives a dense-city transmission load through the

@@ -210,3 +210,49 @@ func TestSectionExclusions(t *testing.T) {
 		s.AdvanceTo(s.End())
 	}
 }
+
+// TestRestoreAfterResult pins that Result leaves a finished session
+// checkpointable: capture at End after Result must restore (Restore
+// verifies every section digest against a fresh replay to End), and
+// the restored session must report the same sections and result.
+func TestRestoreAfterResult(t *testing.T) {
+	RegisterSessions()
+	specs := map[string]interface{}{
+		"densecity":    CitySpec{APs: 3, Seed: 2, MeasureMS: 1500, SettleMS: 500, TelemetryMS: 500},
+		"tiledcity":    CitySpec{APs: 4, Tiles: 2, Seed: 2, MeasureMS: 1500, SettleMS: 500, Mobility: true, TelemetryMS: 500},
+		"mixedtraffic": MixedSpec{Clients: 2, Seed: 2, MeasureMS: 1500, SettleMS: 500, Mixed: true},
+		"faultstorm":   StormSpec{Seed: 2, Rate: 2, RunMS: 6000, QuiesceMS: 4000, TelemetryMS: 1000},
+	}
+	for kind, spec := range specs {
+		kind, spec := kind, spec
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			raw, _ := json.Marshal(spec)
+			s, err := checkpoint.Build(kind, raw, checkpoint.Options{SnapshotOut: &bytes.Buffer{}})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			s.AdvanceTo(s.End())
+			want := sessionArtifact(t, s)
+			cp, err := checkpoint.Capture(s)
+			if err != nil {
+				t.Fatalf("capture: %v", err)
+			}
+			var enc bytes.Buffer
+			if err := cp.Encode(&enc); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			dec, err := checkpoint.Decode(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			restored, err := checkpoint.Restore(dec, checkpoint.Options{SnapshotOut: &bytes.Buffer{}})
+			if err != nil {
+				t.Fatalf("restore after Result: %v", err)
+			}
+			if got := sessionArtifact(t, restored); got != want {
+				t.Fatalf("restored finished run differs:\n%s", firstDiff(want, got))
+			}
+		})
+	}
+}

@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
 
 	"whitefi/internal/checkpoint"
 	"whitefi/internal/core"
-	"whitefi/internal/incumbent"
-	"whitefi/internal/mac"
 	"whitefi/internal/obs"
-	"whitefi/internal/spectrum"
 	"whitefi/internal/traffic"
 )
 
@@ -45,8 +41,8 @@ var sessionsOnce sync.Once
 // registry. Idempotent.
 func RegisterSessions() {
 	sessionsOnce.Do(func() {
-		checkpoint.Register("densecity", buildCitySession)
-		checkpoint.Register("tiledcity", buildTiledSession)
+		checkpoint.Register("densecity", cityBuilder("densecity"))
+		checkpoint.Register("tiledcity", cityBuilder("tiledcity"))
 		checkpoint.Register("mixedtraffic", buildMixedSession)
 		checkpoint.Register("faultstorm", buildStormSession)
 	})
@@ -54,6 +50,52 @@ func RegisterSessions() {
 
 // msDur converts a millisecond count to a Duration.
 func msDur(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
+
+// section is one state section before hashing: sessions list theirs
+// in a stable order and hash them on demand.
+type section struct {
+	name  string
+	items int
+	write func(io.Writer)
+}
+
+// endSections holds the digests of the sections a session's finish
+// changes, taken just before Result runs it: finish stops generators
+// and the observer, which removes their queued events and clears their
+// running flags. A finished session reports these in place of the live
+// ones, so a checkpoint of a done run holds exactly the state a replay
+// to End reproduces, and restores. Only the sections finish touches are
+// frozen, because hashing a city's medium log costs about a tenth of
+// the run.
+type endSections map[string]checkpoint.Section
+
+// hash digests secs, substituting frozen sections.
+func (e endSections) hash(secs []section) []checkpoint.Section {
+	out := make([]checkpoint.Section, len(secs))
+	for i, sec := range secs {
+		if f, ok := e[sec.name]; ok {
+			out[i] = f
+		} else {
+			out[i] = checkpoint.HashSection(sec.name, sec.items, sec.write)
+		}
+	}
+	return out
+}
+
+// freeze digests the named sections of secs on its first call.
+func (e *endSections) freeze(secs []section, names ...string) {
+	if *e != nil {
+		return
+	}
+	*e = endSections{}
+	for _, sec := range secs {
+		for _, n := range names {
+			if sec.name == n {
+				(*e)[n] = checkpoint.HashSection(sec.name, sec.items, sec.write)
+			}
+		}
+	}
+}
 
 // CitySpec is the JSON scenario spec of the "densecity" (continuous)
 // and "tiledcity" (sharded) session kinds. Zero fields select the
@@ -119,8 +161,11 @@ func (sp CitySpec) validate(tiled bool) error {
 	if sp.SettleMS < 0 || sp.MeasureMS < 0 || sp.TelemetryMS < 0 {
 		return fmt.Errorf("durations must be non-negative")
 	}
-	if !tiled && sp.Tiles != 0 {
-		return fmt.Errorf("tiles is a tiledcity parameter (use kind tiledcity)")
+	if !tiled && (sp.Tiles != 0 || sp.Shards != 0 || sp.Workers != 0 || sp.Mobility) {
+		return fmt.Errorf("tiles, shards, workers and mobility are tiledcity parameters (use kind tiledcity)")
+	}
+	if sp.Tiles < 0 || sp.Shards < 0 || sp.Workers < 0 {
+		return fmt.Errorf("tiles, shards and workers must be non-negative")
 	}
 	if tiled && sp.Tiles > sp.APs {
 		return fmt.Errorf("tiles %d exceeds aps %d", sp.Tiles, sp.APs)
@@ -143,55 +188,106 @@ type CityResult struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-// citySession adapts cityRun to checkpoint.Session.
+// citySession adapts cityRun to checkpoint.Session for both city
+// kinds.
 type citySession struct {
+	kind  string // "densecity" or "tiledcity"
 	spec  CitySpec
 	run   *cityRun
 	edits int
+	done  endSections
 }
 
-func buildCitySession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
-	var sp CitySpec
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil, fmt.Errorf("densecity spec: %w", err)
+// cityBuilder returns the checkpoint builder of one city kind.
+func cityBuilder(kind string) checkpoint.Builder {
+	return func(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
+		var sp CitySpec
+		if err := json.Unmarshal(raw, &sp); err != nil {
+			return nil, fmt.Errorf("%s spec: %w", kind, err)
+		}
+		tiled := kind == "tiledcity"
+		if err := sp.validate(tiled); err != nil {
+			return nil, fmt.Errorf("%s spec: %w", kind, err)
+		}
+		cfg := sp.cityConfig(opt.SnapshotOut)
+		if tiled && cfg.Tiles == 0 {
+			cfg.Tiles = 1
+		}
+		return &citySession{kind: kind, spec: sp, run: buildCity(cfg)}, nil
 	}
-	if err := sp.validate(false); err != nil {
-		return nil, fmt.Errorf("densecity spec: %w", err)
-	}
-	return &citySession{spec: sp, run: buildDenseCity(sp.cityConfig(opt.SnapshotOut))}, nil
 }
 
-func (s *citySession) Kind() string            { return "densecity" }
-func (s *citySession) Config() interface{}     { return s.spec }
-func (s *citySession) Now() time.Duration      { return s.run.now() }
-func (s *citySession) End() time.Duration      { return s.run.end }
+func (s *citySession) Kind() string              { return s.kind }
+func (s *citySession) Config() interface{}       { return s.spec }
+func (s *citySession) Now() time.Duration        { return s.run.now() }
+func (s *citySession) End() time.Duration        { return s.run.end }
 func (s *citySession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
-func (s *citySession) Sections() []checkpoint.Section {
-	return citySections(s.run.w.eng.DigestState, s.run.w.eng.PendingCount(),
-		[]*mac.Air{s.run.w.air}, s.run.bss, s.run.mics)
+func (s *citySession) Sections() []checkpoint.Section { return s.done.hash(s.sections()) }
+
+// sections digests the engine (the sharded engine covers the
+// coordinator and every shard), every medium, the nodes, the BSS
+// assignment state, the flows and the coordinator's mic set.
+func (s *citySession) sections() []section {
+	r := s.run
+	airs := r.airs()
+	nodes := r.nodes(nil)
+	flows := r.allFlows()
+	return []section{
+		{"engine", r.eng.PendingCount(), r.eng.DigestState},
+		{"air", len(airs), func(w io.Writer) {
+			for _, a := range airs {
+				a.DigestState(w)
+			}
+		}},
+		{"mac", len(nodes), func(w io.Writer) {
+			for _, n := range nodes {
+				n.DigestState(w)
+			}
+		}},
+		{"bss", len(r.bss), func(w io.Writer) {
+			for i, b := range r.bss {
+				cur, has := b.sel.Current()
+				fmt.Fprintf(w, "bss %d ch=%s sw=%d cur=%s/%t rx=%v\n", i, b.ap.Channel(), b.switches, cur, has, b.lastRx)
+			}
+		}},
+		{"flows", len(flows), func(w io.Writer) {
+			for _, f := range flows {
+				f.DigestState(w)
+			}
+		}},
+		{"mics", len(r.mics), func(w io.Writer) {
+			for _, m := range r.mics {
+				m.DigestState(w)
+			}
+		}},
+	}
 }
 
 func (s *citySession) Result() interface{} {
 	if s.run.now() < s.run.end {
 		return CityResult{AtNS: int64(s.run.now())}
 	}
+	s.done.freeze(s.sections(), "engine", "flows")
 	res := s.run.finish()
 	res.WallClock = 0
-	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res}
+	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res, Digest: s.run.digest}
 }
 
-// Apply implements fork-time what-if edits. Op "add-aps" drops N new
-// BSSs (each with the config's clients and CBR flows) onto the city at
-// edit-seeded uniform positions; the fork's future diverges from the
-// control run only through their traffic.
+// Apply implements fork-time what-if edits on the continuous city. Op
+// "add-aps" drops N new BSSs (each with the config's clients and CBR
+// flows) onto the city at edit-seeded uniform positions; the fork's
+// future diverges from the control run only through their traffic.
 func (s *citySession) Apply(e checkpoint.Edit) error {
+	if s.run.shards > 0 {
+		return fmt.Errorf("session kind %s does not support edits", s.kind)
+	}
 	switch e.Op {
 	case "add-aps":
 		if e.N < 1 || e.N > 256 {
 			return fmt.Errorf("add-aps: n must be 1..256, got %d", e.N)
 		}
-		s.run.addBSS(e.N, e.Seed+int64(s.edits)*0x9E3779B9)
+		s.run.addAPs(e.N, e.Seed+int64(s.edits)*0x9E3779B9)
 		s.edits++
 		return nil
 	default:
@@ -199,134 +295,18 @@ func (s *citySession) Apply(e checkpoint.Edit) error {
 	}
 }
 
-// addBSS places n new BSSs with flows at the current instant, using
-// the same placement recipe as the build but an independent seed. New
-// BSSs carry traffic and count in the medium and the metrics, but do
-// not join the staggered assignment rounds (their channels stay where
-// the edit put them) — a pure what-if load injection.
-func (r *cityRun) addBSS(n int, seed int64) {
-	cfg := r.cfg
+// addAPs places n new BSSs with flows at the current instant, by the
+// build's placement recipe but from an independent seed. New BSSs
+// carry traffic and count in the medium and the metrics, but do not
+// join the staggered assignment rounds (their channels stay where the
+// edit put them) — a pure what-if load injection.
+func (r *cityRun) addAPs(n int, seed int64) {
+	c := r.cfg.ClientsPerAP
 	rng := rand.New(rand.NewSource(seed))
-	flowID := 0
-	for _, b := range r.bss {
-		flowID += len(b.flows)
-	}
-	specs := traffic.Mix{
-		Seed: seed*977 + 13,
-		Base: traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
-	}.Specs(n * cfg.ClientsPerAP)
-	si := 0
-	idx := len(r.bss)
+	specs := traffic.Mix{Seed: seed*977 + 13, Base: r.baseSpec()}.Specs(n * c)
 	for i := 0; i < n; i++ {
-		apID := denseCityIDBase + (idx+i)*(cfg.ClientsPerAP+1)
-		apPos := mac.Position{X: rng.Float64() * r.sideM, Y: rng.Float64() * r.sideM}
-		ch := spectrum.Chan(r.free[rng.Intn(len(r.free))], spectrum.W5)
-		b := &denseBSS{ids: map[int]bool{apID: true}}
-		b.ap = mac.NewNode(r.w.eng, r.w.air, apID, ch, true)
-		b.ap.SetPosition(apPos)
-		if cfg.QueueLimit > 0 {
-			b.ap.SetQueueLimit(cfg.QueueLimit)
-		}
-		for c := 0; c < cfg.ClientsPerAP; c++ {
-			id := apID + 1 + c
-			cl := mac.NewNode(r.w.eng, r.w.air, id, ch, false)
-			ang := rng.Float64() * 2 * math.Pi
-			d := 10 + rng.Float64()*30
-			cl.SetPosition(mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)})
-			b.clients = append(b.clients, cl)
-			b.ids[id] = true
-			sender, receiver := traffic.Orient(specs[si], b.ap, cl)
-			f := traffic.NewFlow(r.w.eng, flowID, specs[si], sender, receiver)
-			f.Start()
-			b.flows = append(b.flows, f)
-			flowID++
-			si++
-		}
-		b.snapshotRx()
-		r.bss = append(r.bss, b)
+		r.addBSS(r.tiles[0], rng, specs[i*c:(i+1)*c], nil).snapshotRx()
 	}
-}
-
-// citySections digests a (continuous or tiled) city's state. engDigest
-// and engItems abstract over Engine vs ShardedEngine.
-func citySections(engDigest func(io.Writer), engItems int, airs []*mac.Air, bss []*denseBSS, mics []*incumbent.Mic) []checkpoint.Section {
-	nodes := 0
-	flows := 0
-	for _, b := range bss {
-		nodes += 1 + len(b.clients)
-		flows += len(b.flows)
-	}
-	return []checkpoint.Section{
-		checkpoint.HashSection("engine", engItems, engDigest),
-		checkpoint.HashSection("air", len(airs), func(w io.Writer) {
-			for _, a := range airs {
-				a.DigestState(w)
-			}
-		}),
-		checkpoint.HashSection("mac", nodes, func(w io.Writer) {
-			for _, b := range bss {
-				b.ap.DigestState(w)
-				for _, cl := range b.clients {
-					cl.DigestState(w)
-				}
-			}
-		}),
-		checkpoint.HashSection("bss", len(bss), func(w io.Writer) {
-			for i, b := range bss {
-				cur, has := b.sel.Current()
-				fmt.Fprintf(w, "bss %d ch=%s sw=%d cur=%s/%t rx=%v\n", i, b.ap.Channel(), b.switches, cur, has, b.lastRx)
-			}
-		}),
-		checkpoint.HashSection("flows", flows, func(w io.Writer) {
-			for _, b := range bss {
-				for _, f := range b.flows {
-					f.DigestState(w)
-				}
-			}
-		}),
-		checkpoint.HashSection("mics", len(mics), func(w io.Writer) {
-			for _, m := range mics {
-				m.DigestState(w)
-			}
-		}),
-	}
-}
-
-// tiledSession adapts tiledRun to checkpoint.Session.
-type tiledSession struct {
-	spec CitySpec
-	run  *tiledRun
-}
-
-func buildTiledSession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
-	var sp CitySpec
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil, fmt.Errorf("tiledcity spec: %w", err)
-	}
-	if err := sp.validate(true); err != nil {
-		return nil, fmt.Errorf("tiledcity spec: %w", err)
-	}
-	return &tiledSession{spec: sp, run: buildTiledCity(sp.cityConfig(opt.SnapshotOut))}, nil
-}
-
-func (s *tiledSession) Kind() string              { return "tiledcity" }
-func (s *tiledSession) Config() interface{}       { return s.spec }
-func (s *tiledSession) Now() time.Duration        { return s.run.now() }
-func (s *tiledSession) End() time.Duration        { return s.run.end }
-func (s *tiledSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
-
-func (s *tiledSession) Sections() []checkpoint.Section {
-	return citySections(s.run.se.DigestState, s.run.se.PendingCount(),
-		s.run.airs, s.run.bss, s.run.globalMics)
-}
-
-func (s *tiledSession) Result() interface{} {
-	if s.run.now() < s.run.end {
-		return CityResult{AtNS: int64(s.run.now())}
-	}
-	res, dg := s.run.finish()
-	res.WallClock = 0
-	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res, Digest: dg}
 }
 
 // MixedSpec is the JSON scenario spec of the "mixedtraffic" session
@@ -378,6 +358,7 @@ type MixedResult struct {
 type mixedSession struct {
 	spec MixedSpec
 	run  *mixedRun
+	done endSections
 }
 
 func buildMixedSession(raw json.RawMessage, _ checkpoint.Options) (checkpoint.Session, error) {
@@ -408,22 +389,24 @@ func (s *mixedSession) Now() time.Duration        { return s.run.now() }
 func (s *mixedSession) End() time.Duration        { return s.run.end }
 func (s *mixedSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
-func (s *mixedSession) Sections() []checkpoint.Section {
+func (s *mixedSession) Sections() []checkpoint.Section { return s.done.hash(s.sections()) }
+
+func (s *mixedSession) sections() []section {
 	r := s.run
-	return []checkpoint.Section{
-		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
-		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
+	return []section{
+		{"engine", r.w.eng.PendingCount(), r.w.eng.DigestState},
+		{"air", r.w.air.NodeCount(), r.w.air.DigestState},
 		protocolSection(r.net),
-		checkpoint.HashSection("flows", len(r.flows), func(w io.Writer) {
+		{"flows", len(r.flows), func(w io.Writer) {
 			for _, f := range r.flows {
 				f.DigestState(w)
 			}
-		}),
-		checkpoint.HashSection("mics", len(r.mics), func(w io.Writer) {
+		}},
+		{"mics", len(r.mics), func(w io.Writer) {
 			for _, m := range r.mics {
 				m.DigestState(w)
 			}
-		}),
+		}},
 	}
 }
 
@@ -431,18 +414,19 @@ func (s *mixedSession) Result() interface{} {
 	if s.run.now() < s.run.end {
 		return MixedResult{AtNS: int64(s.run.now())}
 	}
+	s.done.freeze(s.sections(), "engine", "flows")
 	res := s.run.finish()
 	return MixedResult{Done: true, AtNS: int64(s.run.now()), Result: &res}
 }
 
 // protocolSection digests a network's AP and client state machines.
-func protocolSection(net *core.Network) checkpoint.Section {
-	return checkpoint.HashSection("protocol", 1+len(net.Clients), func(w io.Writer) {
+func protocolSection(net *core.Network) section {
+	return section{"protocol", 1 + len(net.Clients), func(w io.Writer) {
 		net.AP.DigestState(w)
 		for _, c := range net.Clients {
 			c.DigestState(w)
 		}
-	})
+	}}
 }
 
 // StormSpec is the JSON scenario spec of the "faultstorm" session
@@ -498,6 +482,7 @@ type StormResult struct {
 type stormSession struct {
 	spec StormSpec
 	run  *stormRun
+	done endSections
 }
 
 func buildStormSession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
@@ -527,25 +512,27 @@ func (s *stormSession) Now() time.Duration        { return s.run.now() }
 func (s *stormSession) End() time.Duration        { return s.run.end }
 func (s *stormSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
-func (s *stormSession) Sections() []checkpoint.Section {
+func (s *stormSession) Sections() []checkpoint.Section { return s.done.hash(s.sections()) }
+
+func (s *stormSession) sections() []section {
 	r := s.run
-	secs := []checkpoint.Section{
-		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
-		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
+	secs := []section{
+		{"engine", r.w.eng.PendingCount(), r.w.eng.DigestState},
+		{"air", r.w.air.NodeCount(), r.w.air.DigestState},
 		protocolSection(r.net),
-		checkpoint.HashSection("injector", r.inj.EventCount(), r.inj.DigestState),
-		checkpoint.HashSection("loss", 0, func(w io.Writer) {
+		{"injector", r.inj.EventCount(), r.inj.DigestState},
+		{"loss", 0, func(w io.Writer) {
 			if r.ge == nil {
 				fmt.Fprintln(w, "ge nil")
 				return
 			}
 			r.ge.DigestState(w)
-		}),
-		checkpoint.HashSection("outages", len(r.lines), func(w io.Writer) {
+		}},
+		{"outages", len(r.lines), func(w io.Writer) {
 			for _, l := range r.lines {
 				fmt.Fprintln(w, l)
 			}
-		}),
+		}},
 	}
 	return secs
 }
@@ -555,6 +542,7 @@ func (s *stormSession) Result() interface{} {
 	if s.run.now() < s.run.end {
 		return res
 	}
+	s.done.freeze(s.sections(), "engine", "protocol")
 	cell := s.run.finish()
 	res.Done = true
 	res.Crashes = cell.crashes

@@ -231,6 +231,19 @@ func TestServerRejections(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/runs", `{"kind":"densecity","spec":{"aps":-3}}`, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad spec: status %d", code)
 	}
+	// Parameters the kind would silently ignore, and negative counts.
+	for _, body := range []string{
+		`{"kind":"densecity","spec":{"aps":4,"mobility":true}}`,
+		`{"kind":"densecity","spec":{"aps":4,"shards":3,"workers":-2}}`,
+		`{"kind":"densecity","spec":{"aps":4,"workers":2}}`,
+		`{"kind":"densecity","spec":{"aps":4,"tiles":2}}`,
+		`{"kind":"tiledcity","spec":{"aps":4,"tiles":2,"shards":-1}}`,
+		`{"kind":"tiledcity","spec":{"aps":4,"tiles":2,"workers":-2}}`,
+	} {
+		if code := postJSON(t, ts.URL+"/api/runs", body, &out); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, code)
+		}
+	}
 	if code := postJSON(t, ts.URL+"/api/runs", `not json`, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad body: status %d", code)
 	}
